@@ -8,25 +8,27 @@ import (
 	"podium/internal/profile"
 )
 
-// This file is the cache-friendly selection engine behind Greedy and
-// GreedyRestricted (float-weight instances; EBS routes to ebs.go). It runs
-// Algorithm 1 with three engine-level changes, none of which alters output:
+// This file is the one eager selection engine: Algorithm 1 driven by a
+// rule's credit schedule (rules.go). It serves Greedy, GreedyRule, the merge
+// and completion rounds, and SelectorState.Select (the select cache's miss
+// path); EBS instances under the coverage rule route to ebs.go instead. The
+// engine makes four execution choices, none of which alters output:
 //
 //  1. Adjacency is read from the Index's frozen CSR view — contiguous
-//     user→groups and group→members rows — instead of the mutable
-//     [][]GroupID / *Group.Members representation, so every hot loop is a
-//     linear scan without pointer chasing.
+//     user→groups and group→members rows — so every hot loop is a linear
+//     scan without pointer chasing.
 //
 //  2. Candidates live in a compacted ascending list rather than a boolean
 //     mask over all n users. The per-pick argmax touches only the remaining
 //     |𝒰′| candidates, which matters when customization refines the
 //     population to a small 𝒰′ (custom.go) and late in large selections.
 //
-//  3. Empty-selection marginals come from Instance.BaseMarginals — one
-//     memoized O(links) pass per instance (bit-identical to summing each
-//     user's CSR row ascending) — so a selection starts from an O(n) copy.
-//     The server memoizes instances per snapshot epoch, which makes the
-//     per-request select cost independent of total link count.
+//  3. Empty-selection marginals start from an O(n) copy of a base row: the
+//     caller's seed (a SelectorState's delta-repaired row), else the
+//     instance's memoized BaseMarginals for the default rule, else one
+//     rule-computed O(links) pass. All three are, per user, the float sum of
+//     that user's CSR row in ascending group order, so the source changes
+//     how much work a run does, never its picks.
 //
 //  4. With Options.Parallelism > 1, the argmax and retraction loops shard
 //     across workers. Determinism is preserved structurally: shards are
@@ -37,9 +39,11 @@ import (
 //     retractions apply exactly one subtraction per (group, member) pair in
 //     the same group order as the sequential loop.
 //
-// Result.Evaluations counts the link traversals this engine performs; the
-// engine walks whole CSR member rows (no per-member candidacy branch), so
-// saturation counts every member link, where the pre-CSR implementation
+// Result.Evaluations counts the link traversals a run performs: the
+// candidates' initial rows (not counted when the caller seeds the base row,
+// whose owner paid for it) plus every member row a credit change retracts.
+// Whole member rows are walked (no per-member candidacy branch), so a
+// retraction counts every member link, where the pre-CSR implementation
 // (reference.go) counted only remaining candidates.
 
 // engineParallelCutoff is the element count below which sharding a loop is
@@ -47,7 +51,26 @@ import (
 // tests can force the sharded paths on tiny instances.
 var engineParallelCutoff = 256
 
-func engineGreedy(inst *groups.Instance, budget int, allowed []bool, opt Options) *Result {
+// selectRule is the one select path: EBS instances under the coverage rule
+// take the exact rank-vector greedy, everything else the eager engine,
+// seeded from base when non-nil. Callers have checked rule/instance
+// compatibility.
+func selectRule(inst *groups.Instance, budget int, allowed []bool, base []float64, r *Rule, opt Options) *Result {
+	if inst.EBS && r.ebsExact {
+		return ebsGreedy(inst, budget, allowed)
+	}
+	return eagerGreedy(inst, budget, allowed, nil, base, r, opt)
+}
+
+// eagerGreedy runs Algorithm 1 under rule r. Per group it tracks the
+// selected-member count and the current credit; when a pick moves a group
+// down its schedule, the credit delta is retracted from every member's
+// marginal. For the coverage rule a credit change is exactly a saturation
+// (wei(G) → 0). t0, when non-nil, pre-advances each group's schedule
+// (resuming from a partial panel — see GreedyCompleteRule). base, never set
+// together with t0, seeds marg_{u,∅} under r for every user; it is copied,
+// never mutated.
+func eagerGreedy(inst *groups.Instance, budget int, allowed []bool, t0 []int, base []float64, r *Rule, opt Options) *Result {
 	ix := inst.Index
 	n := ix.Repo().NumUsers()
 	res := &Result{}
@@ -56,14 +79,16 @@ func engineGreedy(inst *groups.Instance, budget int, allowed []bool, opt Options
 	}
 	csr := ix.CSR()
 	workers := opt.workerCount()
+	credit := r.credits(inst)
+	nG := ix.NumGroups()
 
 	// Optional stage clock. All timing sites guard on tim != nil, so the
 	// uninstrumented path pays one predictable branch per stage boundary.
 	tim := opt.Timings
-	var t0 time.Time
+	var tc time.Time
 	if tim != nil {
 		tim.Runs++
-		t0 = time.Now()
+		tc = time.Now()
 	}
 
 	// Compacted candidate list 𝒰′, ascending so scans inherit the
@@ -78,21 +103,36 @@ func engineGreedy(inst *groups.Instance, budget int, allowed []bool, opt Options
 		return res
 	}
 
-	// Line 2: marg_{u,∅} = Σ_{G∋u, cov(G)>0} wei(G). The instance memoizes
-	// the empty-selection marginals (one O(links) group-major pass, in the
-	// same per-user ascending-group float order this loop used to run), so
-	// every selection after an instance's first starts from an O(n) copy —
-	// the pass that used to dominate large-population selects is paid once
-	// per published snapshot, not once per request.
-	marg := make([]float64, n)
-	copy(marg, inst.BaseMarginals())
-	for _, cu := range cand {
-		res.Evaluations += csr.UserDegree(profile.UserID(cu))
+	// Line 2: marg_{u,∅} = Σ_{G∋u} w_G(0): a copy of the caller's seed or
+	// of the default rule's memoized row when one applies, else a fresh sum.
+	row := base
+	if row == nil && t0 == nil && r.def {
+		row = inst.BaseMarginals()
+	}
+	var marg []float64
+	if row != nil {
+		marg = make([]float64, n)
+		copy(marg, row)
+	} else {
+		marg = r.baseFrom(inst, t0)
+	}
+	if base == nil {
+		for _, cu := range cand {
+			res.Evaluations += csr.UserDegree(profile.UserID(cu))
+		}
 	}
 
-	// Remaining required coverage per group; mutated as users are picked.
-	cov := make([]int, len(inst.Cov))
-	copy(cov, inst.Cov)
+	// Schedule position and current credit per group.
+	cnt := make([]int, nG)
+	curW := make([]float64, nG)
+	for g := 0; g < nG; g++ {
+		t := 0
+		if t0 != nil {
+			t = t0[g]
+			cnt[g] = t
+		}
+		curW[g] = credit(g, t)
+	}
 
 	// The selection size is known up front; pre-sizing the result slices
 	// keeps the pick loop allocation-free.
@@ -104,7 +144,7 @@ func engineGreedy(inst *groups.Instance, budget int, allowed []bool, opt Options
 	res.Marginals = make([]float64, 0, picks)
 
 	if tim != nil {
-		tim.InitNs += time.Since(t0).Nanoseconds()
+		tim.InitNs += time.Since(tc).Nanoseconds()
 	}
 
 	for i := 0; i < budget && len(cand) > 0; i++ {
@@ -112,7 +152,7 @@ func engineGreedy(inst *groups.Instance, budget int, allowed []bool, opt Options
 		// lowest index.
 		if tim != nil {
 			tim.Picks++
-			t0 = time.Now()
+			tc = time.Now()
 		}
 		var bi int
 		if workers > 1 && len(cand) >= engineParallelCutoff {
@@ -127,7 +167,7 @@ func engineGreedy(inst *groups.Instance, budget int, allowed []bool, opt Options
 			}
 		}
 		if tim != nil {
-			tim.ArgmaxNs += time.Since(t0).Nanoseconds()
+			tim.ArgmaxNs += time.Since(tc).Nanoseconds()
 		}
 		best := int(cand[bi])
 		// Line 6: move best from 𝒰 to U, keeping the list ascending.
@@ -135,39 +175,39 @@ func engineGreedy(inst *groups.Instance, budget int, allowed []bool, opt Options
 		res.Users = append(res.Users, profile.UserID(best))
 		res.Marginals = append(res.Marginals, marg[best])
 		res.Score += marg[best]
-		// Lines 7-10: decrement coverage; on saturation, retract the group's
-		// weight from every member's marginal. Members no longer candidates
-		// are retracted too — their marginals are never read again — which
-		// removes the per-member candidacy branch from the hot loop. Groups
-		// retract in ascending order, one subtraction per member, so
-		// candidate marginals round identically to the sequential engine.
+		// Lines 7-10: advance each of best's groups along its schedule and
+		// retract any credit drop from every member's marginal. Members no
+		// longer candidates are retracted too — their marginals are never
+		// read again — which removes the per-member candidacy branch from
+		// the hot loop.
 		if tim != nil {
-			t0 = time.Now()
+			tc = time.Now()
 		}
 		for _, g := range csr.UserGroups(profile.UserID(best)) {
-			if cov[g] <= 0 {
+			t := cnt[g] + 1
+			cnt[g] = t
+			nw := credit(int(g), t)
+			if nw == curW[g] {
 				continue
 			}
-			cov[g]--
-			if cov[g] == 0 {
-				w := inst.Wei[g]
-				members := csr.Members(g)
-				res.Evaluations += len(members)
-				if workers > 1 && len(members) >= engineParallelCutoff {
-					shardRange(len(members), workers, func(lo, hi int) {
-						for _, m := range members[lo:hi] {
-							marg[m] -= w
-						}
-					})
-				} else {
-					for _, m := range members {
-						marg[m] -= w
+			d := curW[g] - nw
+			curW[g] = nw
+			members := csr.Members(g)
+			res.Evaluations += len(members)
+			if workers > 1 && len(members) >= engineParallelCutoff {
+				shardRange(len(members), workers, func(lo, hi int) {
+					for _, m := range members[lo:hi] {
+						marg[m] -= d
 					}
+				})
+			} else {
+				for _, m := range members {
+					marg[m] -= d
 				}
 			}
 		}
 		if tim != nil {
-			tim.RetractNs += time.Since(t0).Nanoseconds()
+			tim.RetractNs += time.Since(tc).Nanoseconds()
 		}
 	}
 	return res

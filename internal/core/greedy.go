@@ -36,7 +36,7 @@ type Result struct {
 // Instances with EBS weights are routed to the exact rank-vector
 // implementation, since their float64 weights overflow beyond ~300 groups.
 //
-// Execution is delegated to the CSR engine (engine.go); the pre-engine
+// Execution is delegated to the eager engine (engine.go); the pre-engine
 // implementation survives as ReferenceGreedy, which the equivalence property
 // tests hold the engine to bit for bit.
 func Greedy(inst *groups.Instance, budget int) *Result {
@@ -58,8 +58,5 @@ func GreedyRestricted(inst *groups.Instance, budget int, allowed []bool) *Result
 
 // GreedyRestrictedOpts is GreedyRestricted with explicit engine Options.
 func GreedyRestrictedOpts(inst *groups.Instance, budget int, allowed []bool, opt Options) *Result {
-	if inst.EBS {
-		return ebsGreedy(inst, budget, allowed)
-	}
-	return engineGreedy(inst, budget, allowed, opt)
+	return selectRule(inst, budget, allowed, nil, ruleCoverage, opt)
 }

@@ -5,9 +5,9 @@ import (
 	"podium/internal/profile"
 )
 
-// SelectorState persists the lazy-greedy engine's inputs across snapshot
-// epochs so a steady stream of selections under live writes costs O(Δ) per
-// mutation batch instead of O(links) per epoch.
+// SelectorState persists the greedy engine's base row across snapshot epochs
+// so a steady stream of selections under live writes costs O(Δ) per mutation
+// batch instead of O(links) per epoch.
 //
 // The expensive part of a selection on a fresh epoch is not the greedy loop —
 // it is materializing marg_{u,∅} for every user, an O(links) pass (memoized
@@ -25,8 +25,9 @@ import (
 // group order, adding an effective weight of +0.0 for groups with no
 // remaining coverage requirement, which is exact for finite partial sums — so
 // a repaired base array is bit-identical to a freshly computed one, and the
-// seeded lazy-greedy run (lazy.go) therefore returns bit-identical selections.
-// The property tests in incremental_test.go enforce this per mutation batch.
+// eager engine seeded from it (engine.go) therefore returns bit-identical
+// selections. The property tests in incremental_test.go enforce this per
+// mutation batch.
 //
 // Fallbacks are conservative: EBS instances (whose weights depend on the
 // global size order, so any size change can reweight every group), reshaped
@@ -201,17 +202,16 @@ func (st *SelectorState) recompute(inst *groups.Instance, newEff []float64) {
 	st.Recomputes++
 }
 
-// Select runs a lazy-greedy selection seeded from the synced base state. The
-// caller must have Synced against the same inst. The result is bit-identical
-// to a fresh lazy (and therefore eager) greedy under the state's rule on
-// inst; opt is consulted only on the fallback paths — the seeded run's heap
-// build is an O(n) copy with nothing worth sharding. EBS instances fall back
-// to the exact path, which only the default rule supports (rule-aware
-// callers gate EBS upstream).
+// Select runs the eager engine seeded with a copy of the synced base row.
+// The caller must have Synced against the same inst. The result is
+// bit-identical to a fresh GreedyRule under the state's rule on inst, and
+// opt (Parallelism, Timings) applies as it does there. EBS instances and
+// unsynced states take the unseeded path, where EBS coverage routes to the
+// exact rank-vector greedy (rule-aware callers gate EBS upstream).
 func (st *SelectorState) Select(inst *groups.Instance, budget int, opt Options) *Result {
-	r := st.rule.OrDefault()
-	if inst.EBS || st.base == nil || len(st.base) != inst.Index.Repo().NumUsers() {
-		return lazyGreedyRule(inst, budget, nil, r, opt)
+	base := st.base
+	if len(base) != inst.Index.Repo().NumUsers() {
+		base = nil
 	}
-	return lazySeededRule(inst, budget, st.base, r)
+	return selectRule(inst, budget, nil, base, st.rule.OrDefault(), opt)
 }

@@ -144,3 +144,102 @@ func TestSelectorStateBitIdentity(t *testing.T) {
 		t.Fatal("no Sync took the full-recompute path")
 	}
 }
+
+// TestSelectorStateSeededEngine holds the select cache's miss path —
+// SelectorState.Select, the eager engine seeded from the repaired base row —
+// to a fresh GreedyRule for every registered rule, at parallelism 1, 2 and 8
+// with the sharded loops forced on, after each of several replayed TakeDelta
+// batches (ordinary, reshaping and oversized). Every run must report exactly
+// one engine run into StageTimings, one pick per selected user, and the
+// seeded Evaluations accounting: the fresh run's count minus the initial
+// rows the seed supplied. maxcov on an EBS instance covers the unseeded
+// fallback, which counts like a fresh run.
+func TestSelectorStateSeededEngine(t *testing.T) {
+	forceShardedPaths(t)
+	const budget = 7
+	type tc struct {
+		rule string
+		ws   groups.WeightScheme
+		cs   groups.CoverageScheme
+		cfg  synth.Config
+	}
+	var cases []tc
+	for _, r := range Rules() {
+		cases = append(cases,
+			tc{r.Name(), groups.WeightLBS, groups.CoverSingle, synth.ScaleLike(180)},
+			tc{r.Name(), groups.WeightIden, groups.CoverProp, synth.YelpLike(150)})
+	}
+	cases = append(cases, tc{"maxcov", groups.WeightEBS, groups.CoverSingle, synth.TripAdvisorLike(160)})
+	var repairs uint64
+
+	for ci, c := range cases {
+		t.Run(fmt.Sprintf("%s-%s-%s-%s", c.rule, c.ws, c.cs, c.cfg.Name), func(t *testing.T) {
+			r := MustRule(c.rule)
+			rng := rand.New(rand.NewSource(int64(13000 + ci)))
+			repo := synth.Generate(c.cfg).Repo
+			ix := groups.Build(repo, groups.Config{K: 3})
+			ix.Freeze()
+			st := NewSelectorStateRule(r)
+			inst := groups.NewInstance(ix, c.ws, c.cs, budget)
+			st.Sync(inst, nil, false)
+
+			check := func(round int, inst *groups.Instance) {
+				t.Helper()
+				want, err := GreedyRule(inst, budget, r, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				seedRows := 0
+				if !inst.EBS {
+					csr := inst.Index.CSR()
+					for u := 0; u < inst.Index.Repo().NumUsers(); u++ {
+						seedRows += csr.UserDegree(profile.UserID(u))
+					}
+				}
+				for _, par := range []int{1, 2, 8} {
+					var tim StageTimings
+					got := st.Select(inst, budget, Options{Parallelism: par, Timings: &tim})
+					if !sameResult(want, got) {
+						t.Fatalf("round %d parallelism %d: seeded select diverged from GreedyRule\nwant %v %v %v\ngot  %v %v %v",
+							round, par, want.Users, want.Marginals, want.Score, got.Users, got.Marginals, got.Score)
+					}
+					if tim.Runs != 1 || tim.Picks != len(got.Users) {
+						t.Fatalf("round %d parallelism %d: timings report %d runs, %d picks for %d users",
+							round, par, tim.Runs, tim.Picks, len(got.Users))
+					}
+					if got.Evaluations != want.Evaluations-seedRows {
+						t.Fatalf("round %d parallelism %d: %d evaluations, want fresh %d minus %d seeded rows",
+							round, par, got.Evaluations, want.Evaluations, seedRows)
+					}
+				}
+			}
+			check(0, inst)
+
+			for round := 1; round <= 4; round++ {
+				repo2 := repo.Clone()
+				ix2 := ix.Clone(repo2)
+				ops := 1 + rng.Intn(6)
+				newProp := ""
+				switch round {
+				case 3:
+					newProp = fmt.Sprintf("seeded-live-prop-%d", ci)
+				case 4:
+					ops = repo2.NumUsers()
+				}
+				applyRandomBatch(t, rng, repo2, ix2, ops, newProp)
+				d := ix2.TakeDelta()
+				ix2.Freeze()
+				repo, ix = repo2, ix2
+				inst = groups.NewInstance(ix, c.ws, c.cs, budget)
+				st.Sync(inst, d.Users, d.Reshaped)
+				check(round, inst)
+			}
+			repairs += st.Repairs
+		})
+	}
+	// fairness-floor's dominance constant moves with every LBS batch, so
+	// it always recomputes; the sweep as a whole must still repair.
+	if repairs == 0 {
+		t.Fatal("no batch took the delta-repair path")
+	}
+}

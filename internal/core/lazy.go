@@ -22,6 +22,11 @@ import (
 // and the leaderboard is stable, and loses on small dense instances. The
 // lazy ablation (RunLazyAblation / BenchmarkAblationEagerVsLazy) reports
 // both variants' link-traversal counts rather than presuming a winner.
+//
+// No serving path runs it: every production select, including the select
+// cache's miss path, runs the eager engine (engine.go). The lazy variant
+// serves the eager-vs-lazy ablation, podium.WithLazyGreedy and the
+// baselines, and the property suites hold it to the eager engine bit for bit.
 func LazyGreedy(inst *groups.Instance, budget int) *Result {
 	return LazyGreedyRestrictedOpts(inst, budget, nil, Options{})
 }
@@ -98,41 +103,9 @@ func lazyGreedyRule(inst *groups.Instance, budget int, allowed []bool, r *Rule, 
 	return res
 }
 
-// lazySeeded runs the lazy-greedy pop/refresh/select loop with the initial
-// heap keys taken from base — marg_{u,∅} for every user, e.g. a
-// SelectorState's delta-repaired copy or an Instance's memoized BaseMarginals
-// — instead of recomputing them from the CSR rows. Because a fresh run's
-// initial keys are exactly these row sums (bit-identical by the BaseMarginals
-// contract), the heap starts from the same (key, user) multiset in the same
-// slice order, and the shared run loop proceeds identically: the selection,
-// its marginals and its score match a fresh LazyGreedy bit for bit. Only
-// Result.Evaluations differs — the seeded run skips the initial row
-// traversals, which is the point.
-func lazySeeded(inst *groups.Instance, budget int, base []float64) *Result {
-	return lazySeededRule(inst, budget, base, ruleCoverage)
-}
-
-// lazySeededRule is lazySeeded under a pluggable rule; base must be the
-// rule's own base marginals (Rule.baseMarginals or a SelectorState repaired
-// under the same rule).
-func lazySeededRule(inst *groups.Instance, budget int, base []float64, r *Rule) *Result {
-	n := inst.Index.Repo().NumUsers()
-	res := &Result{}
-	if budget <= 0 || n == 0 {
-		return res
-	}
-	ls := newLazyRunRule(inst, res, r)
-	entries := make([]margEntry, n)
-	for u := 0; u < n; u++ {
-		entries[u] = margEntry{user: u, key: base[u]}
-	}
-	ls.run(entries, budget)
-	return res
-}
-
 // lazyRun is the shared state of one lazy-greedy execution: each group's
-// schedule position and current credit, and the refresh primitive both entry
-// points feed into the same pop/refresh/select loop.
+// schedule position and current credit, and the refresh primitive the
+// pop/refresh/select loop runs on.
 type lazyRun struct {
 	inst   *groups.Instance
 	csr    *groups.CSR

@@ -23,13 +23,16 @@ type Options struct {
 	Timings *StageTimings
 }
 
-// StageTimings is the engine's per-stage clock, written by engineGreedy when
-// Options.Timings is set. Values are monotonic nanosecond totals across
-// however many runs shared the struct; Runs and Picks scale them. Not safe
-// for concurrent runs — give each selection its own struct.
+// StageTimings is the engine's per-stage clock, written by the eager engine
+// (engine.go) when Options.Timings is set — under every rule, seeded or not,
+// so Greedy, GreedyRule, the merge and completion rounds and
+// SelectorState.Select all report. Values are monotonic nanosecond totals
+// across however many runs shared the struct; Runs and Picks scale them. Not
+// safe for concurrent runs — give each selection its own struct.
 type StageTimings struct {
 	// Runs counts engine invocations that reported into this struct. The
-	// EBS exact-arithmetic path does not report (Runs stays 0 there).
+	// EBS exact-arithmetic path and the lazy ablation variant do not report
+	// (Runs stays 0 there).
 	Runs int
 	// Picks counts greedy picks (argmax rounds) across those runs.
 	Picks int
@@ -37,7 +40,8 @@ type StageTimings struct {
 	InitNs int64
 	// ArgmaxNs is the per-pick argmax scans, including MergeNs.
 	ArgmaxNs int64
-	// RetractNs is the saturation retraction loops.
+	// RetractNs is the credit-change (for coverage: saturation) retraction
+	// loops.
 	RetractNs int64
 	// MergeNs is the sharded argmax's final cross-shard reduction — the
 	// determinism-preserving merge — counted inside ArgmaxNs.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"podium/internal/groups"
 	"podium/internal/profile"
@@ -25,10 +24,9 @@ import (
 // The registered rules:
 //
 //   - coverage (default): w_G(t) = wei(G) while t < cov(G), then 0 — exactly
-//     the paper's score_𝒢 objective (Definition 3.3), and exactly what the
-//     cov-saturation loop in engine.go implements. The default rule keeps
-//     running through that engine, so its selections are bit-identical to
-//     every release before rules existed.
+//     the paper's score_𝒢 objective (Definition 3.3): a group's credit drops
+//     to 0 exactly when its requirement saturates, so its selections are
+//     bit-identical to every release before rules existed.
 //   - harmonic: w_G(t) = wei(G)/(t+1) — proportional (diminishing) credit in
 //     the spirit of proportional-approval weighting: the k-th member of a
 //     group is worth 1/k of the first, so large groups keep attracting
@@ -226,16 +224,6 @@ func (r *Rule) checkInstance(inst *groups.Instance) error {
 	return nil
 }
 
-// baseMarginals returns marg_{u,∅} under r: Σ_{G∋u} w_G(0). The default rule
-// aliases the instance's memoized BaseMarginals (callers must not mutate);
-// other rules compute a fresh slice the caller owns.
-func (r *Rule) baseMarginals(inst *groups.Instance) []float64 {
-	if r.def {
-		return inst.BaseMarginals()
-	}
-	return r.baseFrom(inst, nil)
-}
-
 // baseFrom computes per-user base marginals with each group's schedule
 // advanced to t0[g] selected members (nil means zero everywhere). The pass
 // runs group-major in ascending GroupID order — per user, exactly the float
@@ -275,145 +263,14 @@ func (r *Rule) initialCredits(inst *groups.Instance) []float64 {
 	return eff
 }
 
-// creditGreedy is the generalized eager engine: engineGreedy's structure —
-// compacted candidate list, deterministic (optionally sharded) argmax,
-// retraction on credit change — driven by a rule's credit schedule instead of
-// the cov-saturation special case. Per group it tracks the selected-member
-// count and the current credit; when a pick moves a group down its schedule,
-// the credit delta is retracted from every member's marginal, exactly one
-// subtraction per (group, member) pair in ascending group order, so sharded
-// and sequential runs round identically. t0, when non-nil, pre-advances each
-// group's schedule (resuming from a partial panel — see GreedyCompleteRule).
-//
-// The default rule does not route here in production (engine.go serves it,
-// preserving the memoized-BaseMarginals fast path and historical Evaluations
-// accounting bit for bit); the property suite still cross-checks this engine
-// against it.
+// creditGreedy is the eager engine (engine.go) without a caller seed.
 func creditGreedy(inst *groups.Instance, budget int, allowed []bool, t0 []int, r *Rule, opt Options) *Result {
-	ix := inst.Index
-	n := ix.Repo().NumUsers()
-	res := &Result{}
-	if budget <= 0 || n == 0 {
-		return res
-	}
-	csr := ix.CSR()
-	workers := opt.workerCount()
-	credit := r.credits(inst)
-	nG := ix.NumGroups()
-
-	tim := opt.Timings
-	var t0c time.Time
-	if tim != nil {
-		tim.Runs++
-		t0c = time.Now()
-	}
-
-	cand := make([]int32, 0, n)
-	for u := 0; u < n; u++ {
-		if allowed == nil || allowed[u] {
-			cand = append(cand, int32(u))
-		}
-	}
-	if len(cand) == 0 {
-		return res
-	}
-
-	var marg []float64
-	if t0 == nil && r.def {
-		marg = make([]float64, n)
-		copy(marg, inst.BaseMarginals())
-	} else {
-		marg = r.baseFrom(inst, t0)
-	}
-	for _, cu := range cand {
-		res.Evaluations += csr.UserDegree(profile.UserID(cu))
-	}
-
-	// Schedule position and current credit per group.
-	cnt := make([]int, nG)
-	curW := make([]float64, nG)
-	for g := 0; g < nG; g++ {
-		t := 0
-		if t0 != nil {
-			t = t0[g]
-			cnt[g] = t
-		}
-		curW[g] = credit(g, t)
-	}
-
-	picks := budget
-	if picks > len(cand) {
-		picks = len(cand)
-	}
-	res.Users = make([]profile.UserID, 0, picks)
-	res.Marginals = make([]float64, 0, picks)
-
-	if tim != nil {
-		tim.InitNs += time.Since(t0c).Nanoseconds()
-	}
-
-	for i := 0; i < budget && len(cand) > 0; i++ {
-		if tim != nil {
-			tim.Picks++
-			t0c = time.Now()
-		}
-		var bi int
-		if workers > 1 && len(cand) >= engineParallelCutoff {
-			bi = parallelArgmax(cand, marg, workers, tim)
-		} else {
-			bm := marg[cand[0]]
-			for j := 1; j < len(cand); j++ {
-				if marg[cand[j]] > bm {
-					bm = marg[cand[j]]
-					bi = j
-				}
-			}
-		}
-		if tim != nil {
-			tim.ArgmaxNs += time.Since(t0c).Nanoseconds()
-		}
-		best := int(cand[bi])
-		cand = append(cand[:bi], cand[bi+1:]...)
-		res.Users = append(res.Users, profile.UserID(best))
-		res.Marginals = append(res.Marginals, marg[best])
-		res.Score += marg[best]
-		if tim != nil {
-			t0c = time.Now()
-		}
-		for _, g := range csr.UserGroups(profile.UserID(best)) {
-			t := cnt[g] + 1
-			cnt[g] = t
-			nw := credit(int(g), t)
-			if nw == curW[g] {
-				continue
-			}
-			d := curW[g] - nw
-			curW[g] = nw
-			members := csr.Members(g)
-			res.Evaluations += len(members)
-			if workers > 1 && len(members) >= engineParallelCutoff {
-				shardRange(len(members), workers, func(lo, hi int) {
-					for _, m := range members[lo:hi] {
-						marg[m] -= d
-					}
-				})
-			} else {
-				for _, m := range members {
-					marg[m] -= d
-				}
-			}
-		}
-		if tim != nil {
-			tim.RetractNs += time.Since(t0c).Nanoseconds()
-		}
-	}
-	return res
+	return eagerGreedy(inst, budget, allowed, t0, nil, r, opt)
 }
 
 // GreedyRule runs Algorithm 1 under a pluggable rule. A nil rule selects the
-// default (coverage), which executes through exactly the same engine as
-// Greedy — bit-identical selections. Other rules run the generalized credit
-// engine; EBS instances accept only EBS-compatible rules.
+// default (coverage), which executes exactly as Greedy does — bit-identical
+// selections. EBS instances accept only EBS-compatible rules.
 func GreedyRule(inst *groups.Instance, budget int, r *Rule, opt Options) (*Result, error) {
 	return GreedyRestrictedRule(inst, budget, nil, r, opt)
 }
@@ -424,14 +281,7 @@ func GreedyRestrictedRule(inst *groups.Instance, budget int, allowed []bool, r *
 	if err := r.checkInstance(inst); err != nil {
 		return nil, err
 	}
-	if r.def {
-		return GreedyRestrictedOpts(inst, budget, allowed, opt), nil
-	}
-	if inst.EBS && !r.ebsOK {
-		// Unreachable after checkInstance; kept as a structural guard.
-		return nil, r.checkInstance(inst)
-	}
-	return creditGreedy(inst, budget, allowed, nil, r, opt), nil
+	return selectRule(inst, budget, allowed, nil, r, opt), nil
 }
 
 // LazyGreedyRule is Minoux's accelerated greedy under a pluggable rule —

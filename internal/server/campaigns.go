@@ -232,6 +232,10 @@ func (s *Server) createCampaign(w http.ResponseWriter, r *http.Request) {
 	if req.Budget <= 0 {
 		req.Budget = 8
 	}
+	if err := checkBudget(req.Budget); err != nil {
+		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
+		return
+	}
 	if req.TimeScale < 0 || req.TimeScale > 1 {
 		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "time_scale must be in [0,1]")
 		return

@@ -28,6 +28,10 @@ func ParseCoverage(s string) (groups.CoverageScheme, error) { return parseCovera
 // error message handleSelect produces for unknown names.
 func ParseRule(s string) (*core.Rule, error) { return parseRule(s) }
 
+// CheckBudget rejects a request budget above the serving maximum (1024),
+// with the message handleSelect produces.
+func CheckBudget(b int) error { return checkBudget(b) }
+
 // Exported error codes of the unified envelope, for out-of-package handlers.
 const (
 	CodeInvalidArgument  = codeInvalidArgument

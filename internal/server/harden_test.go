@@ -356,3 +356,39 @@ func TestRunDrainDeadlineExpires(t *testing.T) {
 		t.Fatal("Run did not give up after the drain deadline")
 	}
 }
+
+// TestBudgetBoundAtDecode: every handler that hands a request budget to the
+// greedy engine accepts the maximum (1024) and rejects one more with the
+// unified 400 envelope — never a 500, and never an engine run that large.
+func TestBudgetBoundAtDecode(t *testing.T) {
+	s := newTestServer(t)
+	h := s.Hardened(HardenOptions{})
+	cases := []struct {
+		path string
+		body func(budget int) string
+	}{
+		{"/api/v1/select", func(b int) string { return fmt.Sprintf(`{"budget":%d}`, b) }},
+		{"/api/select", func(b int) string { return fmt.Sprintf(`{"budget":%d,"rule":"harmonic"}`, b) }},
+		{"/api/v1/query", func(b int) string { return fmt.Sprintf(`{"query":"SELECT %d USERS"}`, b) }},
+		{"/api/v1/campaigns", func(b int) string { return fmt.Sprintf(`{"budget":%d,"time_scale":0}`, b) }},
+	}
+	for _, tc := range cases {
+		for _, budget := range []int{maxBudget, maxBudget + 1} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body(budget))))
+			want := http.StatusOK
+			if budget > maxBudget {
+				want = http.StatusBadRequest
+			}
+			if rec.Code != want {
+				t.Fatalf("%s budget %d = %d, want %d: %s", tc.path, budget, rec.Code, want, rec.Body.String())
+			}
+			if want == http.StatusBadRequest {
+				if code := errEnvelope(t, rec); code != codeInvalidArgument || !strings.Contains(rec.Body.String(), "1024") {
+					t.Fatalf("%s budget %d: envelope %s", tc.path, budget, rec.Body.String())
+				}
+			}
+		}
+	}
+	waitCampaign(t, s, 1)
+}

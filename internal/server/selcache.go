@@ -39,9 +39,10 @@ import (
 // the cache keeps a selState — a core.SelectorState plus the watermark it is
 // synced to. The per-user watermark array replays exactly which rows changed
 // in (state's seq, snapshot's seq], the state repairs those rows, and the
-// selection re-runs seeded from the repaired base: O(Δ + n·k) instead of
-// O(links + n·k), bit-identical to a fresh greedy by the SelectorState
-// contract. Group-granular watermarks serve diagnostics and the reshape
+// eager engine re-runs seeded with a copy of the repaired base:
+// O(Δ + n·k) instead of O(links + n·k), bit-identical to a fresh greedy by
+// the SelectorState contract, and timed into StageTimings like any other
+// engine run. Group-granular watermarks serve diagnostics and the reshape
 // fence; the full response depends on every group's weight (the explanation
 // report ranks all groups), so response validity itself is gated on the
 // global watermark — exact, because irrelevant writes never advance it.
@@ -384,7 +385,7 @@ func (c *selectCache) buildResponse(inst *groups.Instance, k selCacheKey, r *cor
 		}
 		return buildSelectResponse(inst, custom.Result, custom, k.topK), nil
 	}
-	res, err := core.LazyGreedyRule(inst, k.budget, nil, r, opt)
+	res, err := core.GreedyRule(inst, k.budget, r, opt)
 	if err != nil {
 		// Unreachable: the handler gates rule/instance compatibility before
 		// the cache is consulted.

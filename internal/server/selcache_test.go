@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -194,5 +195,48 @@ func TestSelectCacheDisabled(t *testing.T) {
 	s.SetSelectCacheEnabled(true)
 	if rec := doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2}`, nil); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), a.Body.Bytes()) {
 		t.Fatal("re-enabled cache diverged from the snapshot-memoized response")
+	}
+}
+
+// TestSelectCacheMissReportsEngineStages: a select-cache miss runs the
+// seeded eager engine, which must count one selection and observe its
+// argmax stage in the engine metric families; a following hit runs no
+// engine and must observe neither.
+func TestSelectCacheMissReportsEngineStages(t *testing.T) {
+	s := newTestServer(t)
+	scrape := func() (selections, argmax string) {
+		t.Helper()
+		rec := doJSON(t, s, http.MethodGet, "/api/v1/metrics", "", nil)
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if f := strings.Fields(line); len(f) == 2 {
+				switch f[0] {
+				case "podium_engine_selections_total":
+					selections = f[1]
+				case `podium_engine_stage_seconds_count{stage="argmax"}`:
+					argmax = f[1]
+				}
+			}
+		}
+		return selections, argmax
+	}
+	if sel, am := scrape(); sel != "0" || am != "0" {
+		t.Fatalf("fresh server: selections %q, argmax observations %q", sel, am)
+	}
+	for _, step := range []struct {
+		name, sel, argmax string
+		hits, misses      uint64
+	}{
+		{"miss", "1", "1", 0, 1},
+		{"hit", "1", "1", 1, 1},
+	} {
+		if rec := doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2}`, nil); rec.Code != http.StatusOK {
+			t.Fatalf("%s: select = %d: %s", step.name, rec.Code, rec.Body.String())
+		}
+		if st := s.SelectCacheStats(); st.Hits != step.hits || st.Misses != step.misses {
+			t.Fatalf("%s: cache stats %+v, want %d hits, %d misses", step.name, st, step.hits, step.misses)
+		}
+		if sel, am := scrape(); sel != step.sel || am != step.argmax {
+			t.Fatalf("after %s: selections %q, argmax observations %q, want %s and %s", step.name, sel, am, step.sel, step.argmax)
+		}
 	}
 }

@@ -372,6 +372,20 @@ func parseRule(s string) (*core.Rule, error) {
 	return r, nil
 }
 
+// maxBudget bounds a request's budget. Past about a thousand picks every
+// greedy engine degrades to an O(budget·n) scan, so a larger budget is a
+// latency cliff any client could trigger, not a panel anyone needs.
+const maxBudget = 1024
+
+// checkBudget rejects a budget above maxBudget; callers apply the default
+// to non-positive budgets first.
+func checkBudget(b int) error {
+	if b > maxBudget {
+		return fmt.Errorf("budget %d exceeds the maximum of %d", b, maxBudget)
+	}
+	return nil
+}
+
 // clampParallelism bounds a request's worker count to [0, NumCPU]: negative
 // values (which would otherwise reach the core as a nonsense worker count)
 // mean sequential, and requests cannot demand more workers than the host has
@@ -429,6 +443,10 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Budget <= 0 {
 		req.Budget = 8
+	}
+	if err := checkBudget(req.Budget); err != nil {
+		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
+		return
 	}
 	if req.TopK <= 0 {
 		req.TopK = 200
@@ -605,6 +623,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := q.Validate(); err != nil {
+		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
+		return
+	}
+	if err := checkBudget(q.Budget); err != nil {
 		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
 		return
 	}

@@ -203,6 +203,10 @@ func (co *Coordinator) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if req.Budget <= 0 {
 		req.Budget = 8
 	}
+	if err := server.CheckBudget(req.Budget); err != nil {
+		server.WriteError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "%v", err)
+		return
+	}
 	if req.TopK <= 0 {
 		req.TopK = 200
 	}
@@ -435,6 +439,10 @@ func (co *Coordinator) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Budget <= 0 {
 		req.Budget = 8
+	}
+	if err := server.CheckBudget(req.Budget); err != nil {
+		server.WriteError(w, r, http.StatusBadRequest, server.CodeInvalidArgument, "%v", err)
+		return
 	}
 
 	// Budget split: proportional to shard population, each live shard

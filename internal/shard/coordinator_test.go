@@ -2,6 +2,7 @@ package shard
 
 import (
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -161,6 +162,28 @@ func TestCoordinatorRejectsShardLocalConcepts(t *testing.T) {
 	}
 	if _, err := c.Select(client.SelectRequest{Budget: 3, Config: "paper"}); err == nil {
 		t.Fatal("named-config select accepted by coordinator")
+	}
+}
+
+// TestCoordinatorBudgetBound: the coordinator enforces the serving budget
+// maximum at decode, with the single-node 400 envelope, on both endpoints
+// that forward a budget — before any shard leg or merge runs.
+func TestCoordinatorBudgetBound(t *testing.T) {
+	h := newCoordHarness(t, 120, 2)
+	c := h.client(t)
+	if _, err := c.Select(client.SelectRequest{Budget: 1024}); err != nil {
+		t.Fatalf("select at the maximum budget: %v", err)
+	}
+	_, err := c.Select(client.SelectRequest{Budget: 1025})
+	if ae, ok := client.AsAPIError(err); !ok || ae.Status != 400 || ae.Code != server.CodeInvalidArgument {
+		t.Fatalf("select over the maximum budget: %v", err)
+	}
+	ts := httptest.NewServer(h.coord)
+	defer ts.Close()
+	var agg coordCampaignJSON
+	err = postJSON(t, ts.URL+"/api/v1/campaigns", `{"budget":1025}`, &agg)
+	if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), server.CodeInvalidArgument) {
+		t.Fatalf("campaign over the maximum budget: %v", err)
 	}
 }
 

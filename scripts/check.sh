@@ -24,6 +24,9 @@
 #      coordinator's fan-out/merge, and the replica health registry with its
 #      hedged router (probe loop, passive outcome notes and hedge
 #      cancellation all race against routing decisions) (internal/shard)
+#   5. go vet and go test over the benchmark module (podbench/, its own
+#      module outside ./...), so a change to the internal API the benchmark
+#      calls fails here instead of at the next benchmark run
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,5 +41,8 @@ go test ./...
 
 echo "== go test -race ./internal/core ./internal/groups ./internal/server ./internal/repolog ./internal/campaign ./internal/client ./internal/faults ./internal/obs ./internal/codec ./internal/profile ./internal/shard"
 go test -race ./internal/core ./internal/groups ./internal/server ./internal/repolog ./internal/campaign ./internal/client ./internal/faults ./internal/obs ./internal/codec ./internal/profile ./internal/shard
+
+echo "== (cd podbench && go vet . && go test .)"
+(cd podbench && go vet . && go test .)
 
 echo "check: all green"
