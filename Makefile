@@ -2,8 +2,9 @@ GO ?= go
 
 .PHONY: check vet build test race bench-engine bench-server bench-campaign bench-faults bench-obs bench-scale bench-steady bench-dist bench-rules
 
-# check is the PR gate: vet, build, full tests, and a race-detector pass over
-# the concurrent selection engine and its adjacency structures.
+# check is the PR gate (scripts/check.sh): gofmt over tracked files, vet,
+# build, full tests, a race-detector pass over the concurrent packages, and
+# vet + tests of the podbench benchmark module.
 check:
 	./scripts/check.sh
 

@@ -6,8 +6,9 @@
 //
 // Two workloads isolate the two instrumented paths:
 //
-//   - selects with per-request priority feedback, which bypass the memoized
-//     fast path and run the greedy engine (stage timers included) every time;
+//   - selects with per-request priority feedback, each restriction a
+//     distinct select-cache key, so a restriction's first request runs the
+//     greedy engine (stage timers included); the cache serves its repeats;
 //   - the read-heavy dashboard mix of the server suite at 0% writes, which
 //     exercises the per-route counter/histogram wrapper at maximum request
 //     rate (status/groups/distribution are the cheapest handlers, so the
@@ -66,20 +67,20 @@ type ObsRunStats struct {
 // and read-QPS overhead fractions, floored at zero (instrumentation measuring
 // faster than baseline is noise, not negative cost).
 type ObsReport struct {
-	Suite          string      `json:"suite"`
-	Workload       string      `json:"workload"`
-	Users          int         `json:"users"`
-	Properties     int         `json:"properties"`
-	Groups         int         `json:"groups"`
-	Clients        int         `json:"clients"`
-	Budget         int         `json:"budget"`
-	Seed           int64       `json:"seed"`
-	NumCPU         int         `json:"num_cpu"`
-	Trials         int         `json:"trials"`
-	SelectIters    int         `json:"select_iters"`
-	DurationSec    float64     `json:"duration_sec"`
-	Enabled        ObsRunStats `json:"enabled"`
-	Disabled       ObsRunStats `json:"disabled"`
+	Suite       string      `json:"suite"`
+	Workload    string      `json:"workload"`
+	Users       int         `json:"users"`
+	Properties  int         `json:"properties"`
+	Groups      int         `json:"groups"`
+	Clients     int         `json:"clients"`
+	Budget      int         `json:"budget"`
+	Seed        int64       `json:"seed"`
+	NumCPU      int         `json:"num_cpu"`
+	Trials      int         `json:"trials"`
+	SelectIters int         `json:"select_iters"`
+	DurationSec float64     `json:"duration_sec"`
+	Enabled     ObsRunStats `json:"enabled"`
+	Disabled    ObsRunStats `json:"disabled"`
 	// SelectOverheadFrac = enabled mean / disabled mean − 1.
 	SelectOverheadFrac float64 `json:"select_overhead_frac"`
 	// ReadOverheadFrac = 1 − enabled QPS / disabled QPS.
@@ -119,8 +120,8 @@ func (c ObsConfig) withDefaults() ObsConfig {
 	return c
 }
 
-// obsSelects runs iters uncached selections (per-request priority feedback
-// cycles through the group universe, defeating the memoized path) and
+// obsSelects runs iters feedback selections (per-request priority feedback
+// cycles through the group universe, one select-cache key per group) and
 // returns per-request latencies in seconds.
 func obsSelects(h http.Handler, cfg ObsConfig, numGroups, iters int) []float64 {
 	lat := make([]float64, 0, iters)

@@ -2,9 +2,9 @@
 // stream, with and without the cross-epoch select cache. The server suite
 // (server.go) retired the single-mutex architecture; this suite measures the
 // next bottleneck — on the snapshot server every mutation batch publishes a
-// fresh epoch whose per-epoch memoization starts cold, so a steady mix of
-// writes and selects pays a full base-marginal recomputation per epoch per
-// select shape. The watermark-keyed cache plus delta-repaired selector state
+// fresh epoch, and with the select cache off every select runs one fresh
+// selection, paying a full base-marginal recomputation whenever its epoch's
+// instance is new. The watermark-keyed cache plus delta-repaired selector state
 // (server/selcache.go, core/incremental.go) is the fix; this suite drives
 // both configurations with an identical select-heavy workload and reports the
 // steady-state speedup, the cache hit rate, and the repair-versus-recompute
@@ -116,9 +116,9 @@ type SteadyRunStats struct {
 type SteadyTierReport struct {
 	Users  int `json:"users"`
 	Groups int `json:"groups"`
-	// Baseline is the recompute-every-epoch configuration (cache disabled:
-	// only the per-epoch snapshot memoization, which a live write stream
-	// defeats). Cached adds the watermark-keyed cache + delta repair.
+	// Baseline is the cache-disabled configuration: every select recomputes
+	// (JSON label "recompute-per-epoch", kept from when a per-epoch response
+	// memo backed it). Cached adds the watermark-keyed cache + delta repair.
 	Baseline SteadyRunStats `json:"baseline"`
 	Cached   SteadyRunStats `json:"cached"`
 	// SelectSpeedup is the acceptance headline: cached select QPS over

@@ -451,10 +451,10 @@ func TestChaosReplicaKillBitIdentical(t *testing.T) {
 	co := shard.NewCoordinator(base, specs, shard.CoordinatorOptions{
 		Resilience: client.ResilienceOptions{
 			Retry: client.RetryOptions{
-				MaxAttempts: 4,
-				BaseBackoff: time.Millisecond,
-				MaxBackoff:  5 * time.Millisecond,
-				Seed:        21,
+				MaxAttempts:        4,
+				BaseBackoff:        time.Millisecond,
+				MaxBackoff:         5 * time.Millisecond,
+				Seed:               21,
 				RetryNonIdempotent: true, // selects are read-only POSTs
 			},
 		},

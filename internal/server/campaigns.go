@@ -304,9 +304,9 @@ func (s *Server) createCampaign(w http.ResponseWriter, r *http.Request) {
 
 // campaignFromPath resolves the {id} path parameter to a running campaign.
 // Non-numeric or non-canonical ids ("007", "1x", "+1") are no such resource:
-// 404, not 400 — the route table already guarantees the shape of the path.
+// 404, not 400 — the mux pattern already guarantees the shape of the path.
 func (s *Server) campaignFromPath(w http.ResponseWriter, r *http.Request) (*runningCampaign, bool) {
-	raw := pathParam(r, "id")
+	raw := r.PathValue("id")
 	id, err := strconv.Atoi(raw)
 	if err != nil || strconv.Itoa(id) != raw {
 		writeError(w, r, http.StatusNotFound, codeNotFound, "no such campaign %q", raw)

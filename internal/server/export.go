@@ -59,10 +59,7 @@ func WriteError(w http.ResponseWriter, r *http.Request, status int, code, format
 // the degraded flag); a key colliding with a standard field overrides it.
 func (sn *Snapshot) RenderSelection(ws groups.WeightScheme, cs groups.CoverageScheme, budget, topK int, rl *core.Rule, res *core.Result, extra map[string]interface{}) ([]byte, error) {
 	inst := sn.Instance(ws, cs, budget)
-	resp := buildSelectResponse(inst, res, nil, topK)
-	if rl = rl.OrDefault(); !rl.IsDefault() {
-		resp.Rule = rl.Name()
-	}
+	resp := buildSelectResponse(inst, res, nil, topK, rl)
 	data, err := json.Marshal(resp)
 	if err != nil {
 		return nil, err

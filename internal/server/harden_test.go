@@ -58,6 +58,29 @@ func TestHardenedRecoversPanicsTo500(t *testing.T) {
 	}
 }
 
+// TestHardenedEmptyPathNoPanic: a request with an empty URL path (CONNECT in
+// authority form) is untrusted input; dispatch must answer it without a
+// panic, so hardening never turns it into a 500.
+func TestHardenedEmptyPathNoPanic(t *testing.T) {
+	s := newTestServer(t)
+	var logged []string
+	h := s.Hardened(HardenOptions{Logf: func(f string, a ...interface{}) {
+		logged = append(logged, fmt.Sprintf(f, a...))
+	}})
+	req := httptest.NewRequest(http.MethodConnect, "example.com:443", nil)
+	if req.URL.Path != "" {
+		t.Fatalf("request path = %q, want empty", req.URL.Path)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code >= 500 {
+		t.Fatalf("empty-path request = %d, want < 500: %s", rec.Code, rec.Body.String())
+	}
+	if len(logged) != 0 {
+		t.Fatalf("empty-path request logged a panic report:\n%s", strings.Join(logged, "\n"))
+	}
+}
+
 func TestHardenedReRaisesAbortHandler(t *testing.T) {
 	// http.ErrAbortHandler is the sanctioned "kill this connection" panic
 	// (writeJSONRaw and the fault injector both use it); swallowing it into a

@@ -107,7 +107,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // observeEngine folds one selection's stage timings into the core family.
-// A run that hit the memoized fast path (tim.Runs == 0) records nothing.
+// A request served from the select cache (tim.Runs == 0) records nothing.
 func (s *Server) observeEngine(tim *core.StageTimings) {
 	if tim == nil || tim.Runs == 0 || s.coreMet == nil {
 		return

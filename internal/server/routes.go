@@ -2,20 +2,21 @@ package server
 
 // The route table: every endpoint is declared once, with its method
 // constraints, its canonical /api/v1 path and (for pre-v1 endpoints) its
-// legacy /api alias. Dispatch walks the table before falling back to the
-// embedded ServeMux, which now holds only out-of-table handlers (ad hoc test
-// routes, optional pprof). The table is also where per-route observability
-// lives: request counters by (route, method, code) and a latency histogram
-// per route, recorded by a thin wrapper around each handler.
+// legacy /api alias. Dispatch is the server's one http.ServeMux: each row
+// registers its v1 path and its alias as mux patterns ({id} path parameters
+// included), beside ad hoc test routes, optional pprof and a "/" catch-all
+// that writes the unified 404. The table is also where per-route
+// observability lives: request counters by (route, method, code) and a
+// latency histogram per route, recorded by the one wrapper every row's
+// patterns share.
 //
 // Legacy aliases serve byte-identical bodies and statuses — same handler,
 // same method rules — plus a "Deprecation: true" response header steering
-// clients to the v1 path. Path parameters ({id}) replace the manual prefix
-// trimming the campaign endpoints used to do; a path with trailing garbage
-// after a parameter no longer matches and falls through to the unified 404.
+// clients to the v1 path. A path with trailing garbage after a parameter
+// matches no pattern and falls through to the unified 404; a non-canonical
+// path ("//", "/./", "/../") gets the mux's 301 to its cleaned form.
 
 import (
-	"context"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -25,11 +26,9 @@ import (
 
 // route is one row of the table.
 type route struct {
-	name    string
-	v1      string
-	legacy  string
-	segs    []routeSeg
-	legSegs []routeSeg
+	name   string
+	v1     string
+	legacy string
 	// handlers maps method → handler. nil means any method is accepted and
 	// any dispatches to anyMethod (index, healthz, readyz — probes send
 	// HEADs and the pre-table handlers never method-checked these).
@@ -39,106 +38,17 @@ type route struct {
 	metrics   *routeMetrics
 }
 
-type routeSeg struct {
-	lit   string
-	param string // non-empty → wildcard segment captured under this name
-}
-
-type router struct {
-	routes []*route
-}
-
-func parseSegs(pattern string) []routeSeg {
-	parts := strings.Split(strings.TrimPrefix(pattern, "/"), "/")
-	segs := make([]routeSeg, len(parts))
-	for i, p := range parts {
-		if strings.HasPrefix(p, "{") && strings.HasSuffix(p, "}") {
-			segs[i] = routeSeg{param: p[1 : len(p)-1]}
-		} else {
-			segs[i] = routeSeg{lit: p}
-		}
-	}
-	return segs
-}
-
-// matchSegs matches a concrete request path (starting with '/') against a
-// parsed pattern without splitting the path. A trailing slash is a distinct,
-// unmatched path — "/api/v1/status/" is not "/api/v1/status".
-func matchSegs(pat []routeSeg, path string) (bool, map[string]string) {
-	i := 1
-	var params map[string]string
-	last := len(pat) - 1
-	for si, seg := range pat {
-		j := strings.IndexByte(path[i:], '/')
-		var part string
-		if j < 0 {
-			part = path[i:]
-			i = len(path)
-		} else {
-			part = path[i : i+j]
-			i += j + 1
-		}
-		if seg.param != "" {
-			if part == "" {
-				return false, nil
-			}
-			if params == nil {
-				params = make(map[string]string, 2)
-			}
-			params[seg.param] = part
-		} else if part != seg.lit {
-			return false, nil
-		}
-		if si < last && j < 0 {
-			return false, nil // path shorter than pattern
-		}
-		if si == last && j >= 0 {
-			return false, nil // leftover segments or trailing slash
-		}
-	}
-	return true, params
-}
-
-func (rt *router) match(path string) (*route, map[string]string, bool) {
-	for _, r := range rt.routes {
-		if ok, params := matchSegs(r.segs, path); ok {
-			return r, params, false
-		}
-		if r.legSegs != nil {
-			if ok, params := matchSegs(r.legSegs, path); ok {
-				return r, params, true
-			}
-		}
-	}
-	return nil, nil, false
-}
-
-// paramsCtxKey carries a matched route's path parameters in the request
-// context.
-type paramsCtxKey struct{}
-
-// pathParam returns the named path parameter captured by the route table
-// ("" when absent).
-func pathParam(r *http.Request, name string) string {
-	if m, ok := r.Context().Value(paramsCtxKey{}).(map[string]string); ok {
-		return m[name]
-	}
-	return ""
-}
-
-// addRoute registers one endpoint. legacy may be "" for v1-only endpoints;
-// handlers nil + any non-nil accepts every method.
+// addRoute registers one endpoint: its table row, and its v1 path and legacy
+// alias as mux patterns. legacy may be "" for v1-only endpoints; handlers nil
+// + any non-nil accepts every method. The index "/" registers as "/{$}" so it
+// matches only itself, leaving "/" to the catch-all.
 func (s *Server) addRoute(name, v1, legacy string, handlers map[string]http.HandlerFunc, any http.HandlerFunc) {
 	rt := &route{
 		name:      name,
 		v1:        v1,
 		legacy:    legacy,
-		segs:      parseSegs(v1),
 		handlers:  handlers,
 		anyMethod: any,
-	}
-	if legacy != "" {
-		rt.legSegs = parseSegs(legacy)
 	}
 	methods := make([]string, 0, len(handlers))
 	for m := range handlers {
@@ -150,7 +60,15 @@ func (s *Server) addRoute(name, v1, legacy string, handlers map[string]http.Hand
 		methods = []string{http.MethodGet}
 	}
 	rt.metrics = newRouteMetrics(s.met, name, methods)
-	s.routes.routes = append(s.routes.routes, rt)
+	s.routes = append(s.routes, rt)
+	pattern := v1
+	if pattern == "/" {
+		pattern = "/{$}"
+	}
+	s.mux.Handle(pattern, s.serveRoute(rt, false))
+	if legacy != "" {
+		s.mux.Handle(legacy, s.serveRoute(rt, true))
+	}
 }
 
 // buildRoutes declares the API surface. Mutation endpoints are appended by
@@ -162,7 +80,6 @@ func (s *Server) buildRoutes() {
 	post := func(h http.HandlerFunc) map[string]http.HandlerFunc {
 		return map[string]http.HandlerFunc{http.MethodPost: h}
 	}
-	s.routes = &router{}
 	s.addRoute("status", "/api/v1/status", "/api/status", get(s.handleStatus), nil)
 	s.addRoute("groups", "/api/v1/groups", "/api/groups", get(s.handleGroups), nil)
 	s.addRoute("configurations", "/api/v1/configurations", "/api/configurations", get(s.handleConfigurations), nil)
@@ -183,65 +100,63 @@ func (s *Server) buildRoutes() {
 	// Unmatched paths are counted under one fixed label to keep the metric's
 	// cardinality bounded no matter what clients probe for.
 	s.unmatched = newRouteMetrics(s.met, "unmatched", nil)
+	s.mux.HandleFunc("/", s.handleUnmatched)
 }
 
-// ServeHTTP implements http.Handler: route-table dispatch first, then the
-// embedded mux (test handlers, pprof), then the unified 404.
+// ServeHTTP implements http.Handler by dispatching through the mux.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rt, params, legacy := s.routes.match(r.URL.Path)
-	if rt == nil {
-		if h, pat := s.mux.Handler(r); pat != "" {
-			h.ServeHTTP(w, r)
-			return
+	s.mux.ServeHTTP(w, r)
+}
+
+// handleUnmatched is the catch-all: the unified 404 for any path no route,
+// test handler or pprof mount claims.
+func (s *Server) handleUnmatched(w http.ResponseWriter, r *http.Request) {
+	if s.obsEnabled() {
+		s.unmatched.count(r.Method, http.StatusNotFound)
+	}
+	writeError(w, r, http.StatusNotFound, codeNotFound, "no such endpoint %s", r.URL.Path)
+}
+
+// serveRoute wraps one route for one of its patterns: the Deprecation header
+// on the legacy alias, method dispatch (the unified 405 with Allow), and the
+// per-route request counter and latency histogram.
+func (s *Server) serveRoute(rt *route, deprecated bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if deprecated {
+			w.Header().Set("Deprecation", "true")
 		}
-		if s.obsEnabled() {
-			s.unmatched.count(r.Method, http.StatusNotFound)
-		}
-		writeError(w, r, http.StatusNotFound, codeNotFound, "no such endpoint %s", r.URL.Path)
-		return
-	}
-	if legacy {
-		w.Header().Set("Deprecation", "true")
-	}
-	if params != nil {
-		r = r.WithContext(context.WithValue(r.Context(), paramsCtxKey{}, params))
-	}
-	h := rt.anyMethod
-	if h == nil {
-		h = rt.handlers[r.Method]
-	}
-	if !s.obsEnabled() {
+		h := rt.anyMethod
 		if h == nil {
-			rt.writeMethodNotAllowed(w, r)
+			h = rt.handlers[r.Method]
+		}
+		if h == nil {
+			h = rt.writeMethodNotAllowed
+		}
+		if !s.obsEnabled() {
+			h(w, r)
 			return
 		}
-		h(w, r)
-		return
-	}
-	sw := &statusWriter{ResponseWriter: w}
-	start := time.Now()
-	defer func() {
-		rt.metrics.latency.Observe(time.Since(start).Seconds())
-		code := sw.status
-		if e := recover(); e != nil {
+		sw := &statusWriter{ResponseWriter: w}
+		start := time.Now()
+		defer func() {
+			rt.metrics.latency.Observe(time.Since(start).Seconds())
+			code := sw.status
+			if e := recover(); e != nil {
+				if code == 0 {
+					// Panicked before writing; the hardening middleware will
+					// turn this into a 500 (or abort the connection).
+					code = http.StatusInternalServerError
+				}
+				rt.metrics.count(r.Method, code)
+				panic(e)
+			}
 			if code == 0 {
-				// Panicked before writing; the hardening middleware will
-				// turn this into a 500 (or abort the connection).
-				code = http.StatusInternalServerError
+				code = http.StatusOK
 			}
 			rt.metrics.count(r.Method, code)
-			panic(e)
-		}
-		if code == 0 {
-			code = http.StatusOK
-		}
-		rt.metrics.count(r.Method, code)
-	}()
-	if h == nil {
-		rt.writeMethodNotAllowed(sw, r)
-		return
+		}()
+		h(sw, r)
 	}
-	h(sw, r)
 }
 
 func (rt *route) writeMethodNotAllowed(w http.ResponseWriter, r *http.Request) {
@@ -270,7 +185,7 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 	return sw.ResponseWriter.Write(p)
 }
 
-// EnablePprof mounts net/http/pprof's handlers on the server's fallback mux
+// EnablePprof mounts net/http/pprof's handlers on the server's mux
 // (behind podium-server's -pprof flag; off by default because the profile
 // endpoints are unauthenticated and can stall a core).
 func (s *Server) EnablePprof() {
@@ -285,8 +200,8 @@ func (s *Server) EnablePprof() {
 // entry — the golden route-table test and the index page render from this,
 // so documentation cannot drift from dispatch.
 func (s *Server) Routes() [][4]string {
-	out := make([][4]string, 0, len(s.routes.routes))
-	for _, rt := range s.routes.routes {
+	out := make([][4]string, 0, len(s.routes))
+	for _, rt := range s.routes {
 		allow := rt.allow
 		if rt.anyMethod != nil {
 			allow = "any"

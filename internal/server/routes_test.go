@@ -278,7 +278,7 @@ func TestTraceHeaderAttachesSpans(t *testing.T) {
 	s := newTestServer(t)
 	type traced struct {
 		Trace *struct {
-			Name     string `json:"name"`
+			Name     string  `json:"name"`
 			Ms       float64 `json:"ms"`
 			Children []struct {
 				Name string `json:"name"`
@@ -392,35 +392,36 @@ func TestIndexListsRoutes(t *testing.T) {
 	}
 }
 
-// TestPathParamTrailingGarbage pins the path-matching semantics that replaced
-// manual prefix trimming.
+// TestPathParamTrailingGarbage pins the path-matching semantics of the
+// route patterns, through ServeHTTP: a row whose pattern matches reaches the
+// handler (unknown campaign 17), a row with trailing garbage gets the unified
+// 404, and a non-canonical path gets the mux's 301 to its cleaned form.
 func TestPathParamTrailingGarbage(t *testing.T) {
+	const (
+		handler    = "unknown campaign 17"
+		noEndpoint = "no such endpoint"
+	)
 	cases := []struct {
-		pattern, path string
-		match         bool
-		params        map[string]string
+		pattern, method, path string
+		status                int
+		body                  string // substring of the response; "" skips
 	}{
-		{"/api/v1/campaigns/{id}", "/api/v1/campaigns/17", true, map[string]string{"id": "17"}},
-		{"/api/v1/campaigns/{id}", "/api/v1/campaigns/17/", false, nil},
-		{"/api/v1/campaigns/{id}", "/api/v1/campaigns//", false, nil},
-		{"/api/v1/campaigns/{id}", "/api/v1/campaigns", false, nil},
-		{"/api/v1/campaigns/{id}/cancel", "/api/v1/campaigns/17/cancel", true, map[string]string{"id": "17"}},
-		{"/api/v1/campaigns/{id}/cancel", "/api/v1/campaigns/17/cancelX", false, nil},
-		{"/api/v1/status", "/api/v1/status/", false, nil},
-		{"/api/v1/status", "/api/v1/status", true, nil},
+		{"/api/v1/campaigns/{id}", http.MethodGet, "/api/v1/campaigns/17", 404, handler},
+		{"/api/v1/campaigns/{id}", http.MethodGet, "/api/v1/campaigns/17/", 404, noEndpoint},
+		{"/api/v1/campaigns/{id}", http.MethodGet, "/api/v1/campaigns//", 301, ""},
+		// No id: the list route answers, not the {id} route.
+		{"/api/v1/campaigns/{id}", http.MethodGet, "/api/v1/campaigns", 200, "[]"},
+		{"/api/v1/campaigns/{id}/cancel", http.MethodPost, "/api/v1/campaigns/17/cancel", 404, handler},
+		{"/api/v1/campaigns/{id}/cancel", http.MethodPost, "/api/v1/campaigns/17/cancelX", 404, noEndpoint},
+		{"/api/v1/status", http.MethodGet, "/api/v1/status/", 404, noEndpoint},
+		{"/api/v1/status", http.MethodGet, "/api/v1/status", 200, `"name":"paper-example"`},
 	}
+	s := newTestServer(t)
 	for _, tc := range cases {
-		ok, params := matchSegs(parseSegs(tc.pattern), tc.path)
-		if ok != tc.match {
-			t.Errorf("match(%q, %q) = %v, want %v", tc.pattern, tc.path, ok, tc.match)
-			continue
-		}
-		if tc.match {
-			for k, v := range tc.params {
-				if params[k] != v {
-					t.Errorf("match(%q, %q): param %s = %q, want %q", tc.pattern, tc.path, k, params[k], v)
-				}
-			}
+		rec := doJSON(t, s, tc.method, tc.path, "", nil)
+		if rec.Code != tc.status || !strings.Contains(rec.Body.String(), tc.body) {
+			t.Errorf("%s %s (pattern %s) = %d %q, want %d containing %q",
+				tc.method, tc.path, tc.pattern, rec.Code, rec.Body.String(), tc.status, tc.body)
 		}
 	}
 }

@@ -14,14 +14,16 @@ import (
 	"podium/internal/profile"
 )
 
-// The watermark-keyed select cache. The per-epoch memoization on Snapshot
-// (snapshot.go) makes repeated selects free *within* an epoch, but a live
-// write stream publishes a new epoch per batch and every memo starts cold —
-// the steady-state cost the ROADMAP calls out. This cache spans epochs: it
-// keys complete pre-marshaled responses on (schemes, budget, topK, response
-// shape, feedback restriction) and serves them for as long as no
-// selection-relevant write has landed, which the groups-layer change records
-// decide (groups/delta.go).
+// The watermark-keyed select cache, the server's one cache of select
+// responses. Greedy is deterministic, so a response is a pure function of the
+// selection-relevant state, and a live write stream publishes a new epoch per
+// batch while most batches change nothing a selection observes. The cache
+// therefore spans epochs: it keys complete pre-marshaled responses on
+// (schemes, budget, topK, rule, response shape, feedback restriction) and
+// serves them for as long as no selection-relevant write has landed, which
+// the groups-layer change records decide (groups/delta.go). Requests that
+// skip it (cache disabled, or traced) run one fresh selection each
+// (runSelect in server.go).
 //
 // Invalidation is computed once per batch, not per request: the single-writer
 // apply loop calls applyDelta with the batch's change record before
@@ -305,9 +307,6 @@ func (c *selectCache) respond(sn *Snapshot, k selCacheKey, r *core.Rule, fb *cor
 	if err != nil {
 		return resp, nil, err
 	}
-	if !r.IsDefault() {
-		resp.Rule = r.Name()
-	}
 	data, err := marshalSelect(resp, k.pretty)
 	if err != nil {
 		return resp, nil, err
@@ -353,45 +352,15 @@ func (c *selectCache) compute(sn *Snapshot, k selCacheKey, r *core.Rule, fb *cor
 		// A reader raced an in-flight batch and holds the previous epoch
 		// while the state already advanced; states never rewind, so compute
 		// against the reader's snapshot without touching the state.
-		inst := sn.Instance(k.ws, k.cs, k.budget)
-		return c.buildResponse(inst, k, r, fb, opt)
+		return runSelect(sn.Instance(k.ws, k.cs, k.budget), k.budget, k.topK, r, fb, opt, nil)
 	}
 	start := time.Now()
-	resp, err := c.stateResponse(st, k, fb, opt)
-	c.selectNs.Add(uint64(time.Since(start).Nanoseconds()))
-	return resp, err
-}
-
-// stateResponse runs the selection against a synced state's instance.
-func (c *selectCache) stateResponse(st *selState, k selCacheKey, fb *core.Feedback, opt core.Options) (selectResponse, error) {
+	defer func() { c.selectNs.Add(uint64(time.Since(start).Nanoseconds())) }()
 	if fb != nil {
-		custom, err := core.GreedyCustomOpts(st.inst, *fb, k.budget, opt)
-		if err != nil {
-			return selectResponse{}, err
-		}
-		return buildSelectResponse(st.inst, custom.Result, custom, k.topK), nil
+		return runSelect(st.inst, k.budget, k.topK, r, fb, opt, nil)
 	}
 	res := st.st.Select(st.inst, k.budget, opt)
-	return buildSelectResponse(st.inst, res, nil, k.topK), nil
-}
-
-// buildResponse is the stateless fallback: a fresh selection on the
-// snapshot's memoized instance, under the request's rule.
-func (c *selectCache) buildResponse(inst *groups.Instance, k selCacheKey, r *core.Rule, fb *core.Feedback, opt core.Options) (selectResponse, error) {
-	if fb != nil {
-		custom, err := core.GreedyCustomOpts(inst, *fb, k.budget, opt)
-		if err != nil {
-			return selectResponse{}, err
-		}
-		return buildSelectResponse(inst, custom.Result, custom, k.topK), nil
-	}
-	res, err := core.GreedyRule(inst, k.budget, r, opt)
-	if err != nil {
-		// Unreachable: the handler gates rule/instance compatibility before
-		// the cache is consulted.
-		return selectResponse{}, err
-	}
-	return buildSelectResponse(inst, res, nil, k.topK), nil
+	return buildSelectResponse(st.inst, res, nil, k.topK, r), nil
 }
 
 // marshalSelect pre-marshals a response in the shape its cache key names:
@@ -452,6 +421,6 @@ func (s *Server) SelectCacheStats() SelectCacheStats {
 }
 
 // SetSelectCacheEnabled toggles the watermark-keyed select cache (default
-// on). Off, selects fall back to the per-epoch snapshot memoization — the
-// recompute-every-epoch baseline the steady bench measures against.
+// on). Off, every select runs one fresh selection — the recompute-per-request
+// baseline the steady bench measures against.
 func (s *Server) SetSelectCacheEnabled(v bool) { s.selCache.disabled.Store(!v) }

@@ -2,9 +2,15 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+
+	"podium/internal/core"
 )
 
 // TestSelectCachePrettyVariant: ?pretty=1 and compact responses are distinct
@@ -177,24 +183,110 @@ func TestSelectCacheFeedback(t *testing.T) {
 	}
 }
 
-// TestSelectCacheDisabled: with the cache off, selects fall back to the
-// per-epoch snapshot memoization, stay correct, and touch no cache counters.
+// TestSelectCacheDisabled is the cached / uncached / traced differential:
+// for every select shape — each registered rule (on EBS weights too where the
+// rule supports them), ?pretty=1, a feedback restriction and two top_k values
+// — the cache's miss and hit bodies, the body served with the cache disabled
+// (one fresh selection per request), and the traced body with its trace key
+// removed are all the same response. The disabled path touches no cache
+// counter; a traced request counts only as a bypass.
 func TestSelectCacheDisabled(t *testing.T) {
+	type shape struct{ name, path, body string }
+	var shapes []shape
+	for _, rl := range core.Rules() {
+		shapes = append(shapes, shape{rl.Name(), "/api/v1/select", fmt.Sprintf(`{"budget":2,"rule":%q}`, rl.Name())})
+		if rl.EBSCompatible() {
+			shapes = append(shapes, shape{rl.Name() + "/ebs", "/api/v1/select", fmt.Sprintf(`{"budget":2,"rule":%q,"weights":"EBS"}`, rl.Name())})
+		}
+	}
+	shapes = append(shapes,
+		shape{"pretty", "/api/v1/select?pretty=1", `{"budget":2}`},
+		shape{"feedback", "/api/v1/select", `{"budget":2,"feedback":{"priority":[0],"standard_explicit":true}}`},
+		shape{"top_k=1", "/api/v1/select", `{"budget":2,"top_k":1}`},
+		shape{"top_k=5", "/api/v1/select", `{"budget":3,"top_k":5}`},
+	)
+	// decode parses a response body keeping numbers as written, so the
+	// comparison is exact.
+	decode := func(t *testing.T, data []byte) map[string]interface{} {
+		t.Helper()
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.UseNumber()
+		var m map[string]interface{}
+		if err := dec.Decode(&m); err != nil {
+			t.Fatalf("decoding %s: %v", data, err)
+		}
+		return m
+	}
+
 	s := newTestServer(t)
-	s.SetSelectCacheEnabled(false)
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			sel := func() []byte {
+				t.Helper()
+				rec := doJSON(t, s, http.MethodPost, sh.path, sh.body, nil)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("select = %d: %s", rec.Code, rec.Body.String())
+				}
+				return rec.Body.Bytes()
+			}
+			miss, hit := sel(), sel()
+			if !bytes.Equal(miss, hit) {
+				t.Fatalf("cache hit differs from its miss:\nmiss: %s\nhit:  %s", miss, hit)
+			}
+
+			s.SetSelectCacheEnabled(false)
+			before := s.SelectCacheStats()
+			uncached := sel()
+			after := s.SelectCacheStats()
+			s.SetSelectCacheEnabled(true)
+			if !bytes.Equal(uncached, hit) {
+				t.Fatalf("uncached body differs from cached:\ncached:   %s\nuncached: %s", hit, uncached)
+			}
+			if after.Hits != before.Hits || after.Misses != before.Misses || after.Bypass != before.Bypass {
+				t.Fatalf("disabled cache still counted traffic: %+v → %+v", before, after)
+			}
+
+			req := httptest.NewRequest(http.MethodPost, sh.path, strings.NewReader(sh.body))
+			req.Header.Set("X-Podium-Trace", "1")
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			traced := s.SelectCacheStats()
+			if rec.Code != http.StatusOK {
+				t.Fatalf("traced select = %d: %s", rec.Code, rec.Body.String())
+			}
+			if traced.Hits != after.Hits || traced.Misses != after.Misses || traced.Bypass != after.Bypass+1 {
+				t.Fatalf("traced select: cache stats %+v → %+v, want one bypass", after, traced)
+			}
+			got := decode(t, rec.Body.Bytes())
+			if got["trace"] == nil {
+				t.Fatalf("traced body has no trace: %s", rec.Body.String())
+			}
+			delete(got, "trace")
+			if want := decode(t, uncached); !reflect.DeepEqual(got, want) {
+				t.Fatalf("traced body differs from uncached:\ntraced:   %s\nuncached: %s", rec.Body.String(), uncached)
+			}
+		})
+	}
+}
+
+// TestSelectCacheTopKClamp: the report clamps top_k to the group count, so
+// every top_k past it names the same response and must be served from the
+// same cache entry rather than fill the cache with duplicates.
+func TestSelectCacheTopKClamp(t *testing.T) {
+	s := newTestServer(t)
+	n := s.Snapshot().Index().NumGroups()
+	exact := doJSON(t, s, http.MethodPost, "/api/v1/select", fmt.Sprintf(`{"budget":2,"top_k":%d}`, n), nil)
 	before := s.SelectCacheStats()
-	a := doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2}`, nil)
-	b := doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2}`, nil)
-	if a.Code != http.StatusOK || !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
-		t.Fatalf("disabled-cache selects: codes %d/%d, identical=%t", a.Code, b.Code, bytes.Equal(a.Body.Bytes(), b.Body.Bytes()))
-	}
+	huge := doJSON(t, s, http.MethodPost, "/api/v1/select", `{"budget":2,"top_k":10000}`, nil)
 	after := s.SelectCacheStats()
-	if after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Fatalf("disabled cache still counted traffic: %+v → %+v", before, after)
+	if exact.Code != http.StatusOK || huge.Code != http.StatusOK {
+		t.Fatalf("select codes: top_k=%d %d, top_k=10000 %d", n, exact.Code, huge.Code)
 	}
-	s.SetSelectCacheEnabled(true)
-	if rec := doJSON(t, s, http.MethodPost, "/api/select", `{"budget":2}`, nil); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), a.Body.Bytes()) {
-		t.Fatal("re-enabled cache diverged from the snapshot-memoized response")
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses || after.Entries != before.Entries {
+		t.Fatalf("top_k=10000 after top_k=%d: stats %+v → %+v, want one hit and no new entry", n, before, after)
+	}
+	if !bytes.Equal(exact.Body.Bytes(), huge.Body.Bytes()) {
+		t.Fatalf("clamped top_k served different bytes:\n%d: %s\n10000: %s", n, exact.Body.String(), huge.Body.String())
 	}
 }
 

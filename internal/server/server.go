@@ -80,10 +80,10 @@ func (f FeedbackJSON) empty() bool {
 type Server struct {
 	name    string
 	configs []NamedConfig
-	// routes is the declarative endpoint table (routes.go); mux holds only
-	// out-of-table handlers (ad hoc test routes, optional pprof) and serves
-	// as the dispatch fallback.
-	routes *router
+	// routes is the declarative endpoint table (routes.go); mux dispatches
+	// every request — the table's patterns, ad hoc test routes, optional
+	// pprof and the unified-404 catch-all.
+	routes []*route
 	mux    *http.ServeMux
 	snap   atomic.Pointer[Snapshot]
 	camps  *campaignRegistry
@@ -287,9 +287,9 @@ func (s *Server) handleGroups(w http.ResponseWriter, r *http.Request) {
 
 // selectRequest is the selection-module request body.
 type selectRequest struct {
-	Budget   int          `json:"budget"`
-	Weights  string       `json:"weights"`  // Iden | LBS | EBS (default LBS)
-	Coverage string       `json:"coverage"` // Single | Prop (default Single)
+	Budget   int    `json:"budget"`
+	Weights  string `json:"weights"`  // Iden | LBS | EBS (default LBS)
+	Coverage string `json:"coverage"` // Single | Prop (default Single)
 	// Rule selects the marginal-gain objective (GET /api/v1/rules lists the
 	// registered names; empty selects the default coverage rule).
 	Rule     string       `json:"rule,omitempty"`
@@ -317,12 +317,12 @@ type selectResponse struct {
 	// Rule names the selection rule that produced the panel. Omitted for the
 	// default coverage rule, keeping default responses byte-identical to
 	// pre-rules servers.
-	Rule          string             `json:"rule,omitempty"`
-	TopKCovered   int                `json:"top_k_covered"`
-	TopK          int                `json:"top_k"`
-	PriorityScore float64            `json:"priority_score,omitempty"`
-	StandardScore float64            `json:"standard_score,omitempty"`
-	Groups        []subsetGroupJSON  `json:"groups"`
+	Rule          string            `json:"rule,omitempty"`
+	TopKCovered   int               `json:"top_k_covered"`
+	TopK          int               `json:"top_k"`
+	PriorityScore float64           `json:"priority_score,omitempty"`
+	StandardScore float64           `json:"standard_score,omitempty"`
+	Groups        []subsetGroupJSON `json:"groups"`
 	// Trace is the per-stage span tree, attached only when the request asks
 	// for it (X-Podium-Trace: 1 or ?trace=1); untraced responses are
 	// byte-identical to pre-trace servers.
@@ -478,18 +478,28 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 	dsp.End()
 	sn := s.Snapshot()
+	// The report clamps top_k to the group count, so every larger value
+	// names the same response; clamping here keys them to one cache entry.
+	if n := sn.Index().NumGroups(); req.TopK > n {
+		req.TopK = n
+	}
 	opt := core.Options{Parallelism: clampParallelism(req.Parallelism)}
 	var tim *core.StageTimings
 	if s.obsEnabled() || sp != nil {
 		tim = &core.StageTimings{}
 		opt.Timings = tim
 	}
+	var fb *core.Feedback
+	if !req.Feedback.empty() {
+		cf := req.Feedback.toCore()
+		fb = &cf
+	}
 
 	if s.selCache.enabled() {
 		if sp != nil {
 			// Traced requests are diagnostic: they want the real per-stage
 			// span tree, which a pre-marshaled cache hit cannot produce.
-			// They fall through to the uncached paths below.
+			// They run one fresh selection below.
 			s.selCache.noteBypass(rule.Name())
 		} else {
 			// Cross-epoch watermark-keyed path (selcache.go): the response is
@@ -501,10 +511,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			// canonicalized feedback restriction.
 			pretty := r.URL.Query().Get("pretty") == "1"
 			k := selCacheKey{ws: ws, cs: cs, budget: req.Budget, topK: req.TopK, rule: rule.Name(), pretty: pretty}
-			var fb *core.Feedback
-			if !req.Feedback.empty() {
-				cf := req.Feedback.toCore()
-				fb = &cf
+			if fb != nil {
 				k.fb = feedbackCacheKey(req.Feedback)
 			}
 			_, data, err := s.selCache.respond(sn, k, rule, fb, opt)
@@ -522,56 +529,55 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if req.Feedback.empty() {
-		// Feedback-free selections are memoized per epoch: the snapshot is
-		// immutable and greedy is deterministic, so the response is a pure
-		// function of (epoch, schemes, budget, topK).
-		gsp := sp.StartChild("select")
-		resp, data, err := sn.SelectResponse(ws, cs, req.Budget, req.TopK, rule, opt)
-		gsp.End()
-		attachStages(gsp, tim) // empty (cache hit) unless this call computed
-		s.observeEngine(tim)
-		if err != nil {
-			writeError(w, r, http.StatusInternalServerError, codeInternal, "encoding response: %v", err)
-			return
-		}
-		if sp != nil {
-			resp.Trace = sp.JSON() // resp is a copy; the cache keeps Trace nil
-			writeJSON(w, r, http.StatusOK, resp)
-			return
-		}
-		if r.URL.Query().Get("pretty") == "1" {
-			writeJSON(w, r, http.StatusOK, resp)
-			return
-		}
-		writeJSONRaw(w, http.StatusOK, data)
-		return
-	}
-
-	inst := sn.Instance(ws, cs, req.Budget)
-	gsp := sp.StartChild("greedy")
-	custom, err := core.GreedyCustomOpts(inst, req.Feedback.toCore(), req.Budget, opt)
-	gsp.End()
-	attachStages(gsp, tim)
+	resp, err := runSelect(sn.Instance(ws, cs, req.Budget), req.Budget, req.TopK, rule, fb, opt, sp)
 	s.observeEngine(tim)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
 		return
 	}
-	rsp := sp.StartChild("report")
-	resp := buildSelectResponse(inst, custom.Result, custom, req.TopK)
-	rsp.End()
 	resp.Trace = sp.JSON()
 	writeJSON(w, r, http.StatusOK, resp)
 }
 
+// runSelect runs one fresh selection on inst and builds its response, under
+// a "greedy" span carrying the engine stages and a "report" span (sp may be
+// nil). fb nil selects under rule; a feedback restriction runs the tiered
+// CUSTOM-DIVERSITY greedy, which supports only the default rule. Errors are
+// the request's fault: invalid feedback, or a rule the instance cannot run.
+func runSelect(inst *groups.Instance, budget, topK int, rule *core.Rule, fb *core.Feedback, opt core.Options, sp *obs.Span) (selectResponse, error) {
+	gsp := sp.StartChild("greedy")
+	var res *core.Result
+	var custom *core.CustomResult
+	var err error
+	if fb != nil {
+		if custom, err = core.GreedyCustomOpts(inst, *fb, budget, opt); err == nil {
+			res = custom.Result
+		}
+	} else {
+		res, err = core.GreedyRule(inst, budget, rule, opt)
+	}
+	gsp.End()
+	attachStages(gsp, opt.Timings)
+	if err != nil {
+		return selectResponse{}, err
+	}
+	rsp := sp.StartChild("report")
+	resp := buildSelectResponse(inst, res, custom, topK, rule)
+	rsp.End()
+	return resp, nil
+}
+
 // buildSelectResponse assembles the visualization payload shared by the
-// select and query endpoints.
-func buildSelectResponse(inst *groups.Instance, res *core.Result, custom *core.CustomResult, topK int) selectResponse {
+// select and query endpoints. rl names the rule the selection ran under; the
+// default (or nil) omits the rule field.
+func buildSelectResponse(inst *groups.Instance, res *core.Result, custom *core.CustomResult, topK int, rl *core.Rule) selectResponse {
 	rep := explain.NewReport(inst, res, topK)
 	resp := selectResponse{
 		Score: inst.Score(res.Users),
 		TopK:  rep.TopK, TopKCovered: rep.TopKCovered,
+	}
+	if rl = rl.OrDefault(); !rl.IsDefault() {
+		resp.Rule = rl.Name()
 	}
 	if custom != nil {
 		resp.PriorityScore = custom.PriorityScore
@@ -654,25 +660,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.TopK <= 0 {
 		req.TopK = 200
 	}
-	inst := sn.Instance(ws, cs, q.Budget)
 	opt := core.Options{}
 	var tim *core.StageTimings
 	if s.obsEnabled() || sp != nil {
 		tim = &core.StageTimings{}
 		opt.Timings = tim
 	}
-	gsp := sp.StartChild("greedy")
-	custom, err := core.GreedyCustomOpts(inst, fb, q.Budget, opt)
-	gsp.End()
-	attachStages(gsp, tim)
+	resp, err := runSelect(sn.Instance(ws, cs, q.Budget), q.Budget, req.TopK, nil, &fb, opt, sp)
 	s.observeEngine(tim)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, codeInvalidArgument, "%v", err)
 		return
 	}
-	rsp := sp.StartChild("report")
-	resp := buildSelectResponse(inst, custom.Result, custom, req.TopK)
-	rsp.End()
 	resp.Trace = sp.JSON()
 	writeJSON(w, r, http.StatusOK, resp)
 }

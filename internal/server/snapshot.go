@@ -1,10 +1,8 @@
 package server
 
 import (
-	"encoding/json"
 	"sync"
 
-	"podium/internal/core"
 	"podium/internal/groups"
 	"podium/internal/profile"
 )
@@ -42,30 +40,6 @@ type Snapshot struct {
 	// request.
 	topOnce   sync.Once
 	topBySize []groups.GroupID
-
-	// sels memoizes complete feedback-free selection responses. Greedy is
-	// deterministic on an immutable snapshot, so the response for a given
-	// (weights, coverage, budget, topK) is a pure function of the epoch:
-	// only the first such request per epoch runs the selection and builds
-	// (and marshals) the explanation report.
-	sels sync.Map // selKey → *selEntry
-}
-
-// selKey identifies one memoized selection response. Parallelism is
-// deliberately absent: it changes selection latency, never results. rule is
-// the normalized rule name — distinct rules memoize distinct responses.
-type selKey struct {
-	ws           groups.WeightScheme
-	cs           groups.CoverageScheme
-	budget, topK int
-	rule         string
-}
-
-type selEntry struct {
-	once sync.Once
-	resp selectResponse
-	data []byte // compact JSON of resp, newline-terminated
-	err  error
 }
 
 // instKey identifies one memoized diversification instance.
@@ -107,43 +81,6 @@ func (sn *Snapshot) Instance(ws groups.WeightScheme, cs groups.CoverageScheme, b
 	}
 	v, _ := sn.insts.LoadOrStore(k, groups.NewInstance(sn.index, ws, cs, budget))
 	return v.(*groups.Instance)
-}
-
-// SelectResponse returns the memoized feedback-free selection response for
-// the scheme pair, budget and report size, running the greedy core and the
-// explanation builder only on the first request per combination. The opt
-// passed by the winning caller steers that one computation's parallelism;
-// losers share its (identical) result. data is the compact JSON encoding of
-// resp, ready to write; err is the marshalling error, if any.
-// rl selects the objective; the default rule runs the historical engine, so
-// its memoized responses are byte-identical to pre-rules servers (the rule
-// field is omitted for the default).
-func (sn *Snapshot) SelectResponse(ws groups.WeightScheme, cs groups.CoverageScheme, budget, topK int, rl *core.Rule, opt core.Options) (resp selectResponse, data []byte, err error) {
-	rl = rl.OrDefault()
-	k := selKey{ws, cs, budget, topK, rl.Name()}
-	v, _ := sn.sels.LoadOrStore(k, &selEntry{})
-	e := v.(*selEntry)
-	e.once.Do(func() {
-		inst := sn.Instance(ws, cs, budget)
-		var res *core.Result
-		if rl.IsDefault() {
-			res = core.GreedyOpts(inst, budget, opt)
-		} else {
-			res, e.err = core.GreedyRule(inst, budget, rl, opt)
-			if e.err != nil {
-				return
-			}
-		}
-		e.resp = buildSelectResponse(inst, res, nil, topK)
-		if !rl.IsDefault() {
-			e.resp.Rule = rl.Name()
-		}
-		e.data, e.err = json.Marshal(e.resp)
-		if e.err == nil {
-			e.data = append(e.data, '\n')
-		}
-	})
-	return e.resp, e.data, e.err
 }
 
 // TopKBySize returns the IDs of the k largest groups, memoizing the full

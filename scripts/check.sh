@@ -2,10 +2,13 @@
 # check.sh — the PR gate, runnable directly or via `make check`.
 #
 # Runs, in order:
-#   1. go vet  over every package
-#   2. go build over every package
-#   3. the full test suite
-#   4. the race detector over the concurrent selection engine and the
+#   1. gofmt over every tracked Go file (tracked only, so a local
+#      .bench_build/ module cache is never scanned); any unformatted file
+#      fails the gate
+#   2. go vet  over every package
+#   3. go build over every package
+#   4. the full test suite
+#   5. the race detector over the concurrent selection engine and the
 #      delta-repaired selector state plus the pluggable rule engine's credit
 #      schedules (internal/core), the shared adjacency
 #      structures and their mutation change records (internal/groups), the
@@ -24,11 +27,19 @@
 #      coordinator's fan-out/merge, and the replica health registry with its
 #      hedged router (probe loop, passive outcome notes and hedge
 #      cancellation all race against routing decisions) (internal/shard)
-#   5. go vet and go test over the benchmark module (podbench/, its own
+#   6. go vet and go test over the benchmark module (podbench/, its own
 #      module outside ./...), so a change to the internal API the benchmark
 #      calls fails here instead of at the next benchmark run
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== gofmt -l (tracked files)"
+unformatted=$(gofmt -l $(git ls-files '*.go'))
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting (run gofmt -w):" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...
